@@ -33,7 +33,6 @@ MODULES = [
     "repro.checkpoint",
     "repro.service",
     "repro.schedulability",
-    "repro.shard",
     "repro.experiments",
     "repro.cli",
 ]

@@ -9,9 +9,10 @@
 #   scripts/run_tests.sh campaign       # campaign runner/cache/determinism suite
 #   scripts/run_tests.sh checkpoint     # checkpoint/restore suites + overhead gate
 #   scripts/run_tests.sh service        # control-plane service suites + churn gate
-#   scripts/run_tests.sh shard          # sharded-execution equivalence + scaling gate
+#   scripts/run_tests.sh event          # event-scheduler equivalence + loaded speedup gate
 #   scripts/run_tests.sh schedulability # analytic engine suites + tightness gate
 #   scripts/run_tests.sh schedulability-faults # fault-aware verdicts + chaos gate
+#   scripts/run_tests.sh perfbench      # tests of the repo benchmark harness
 #
 # The benchmark smoke step runs the fast-forward speedup gate — it
 # fails the pipeline if the idle-cycle fast path drops below 3x on the
@@ -30,13 +31,6 @@
 # hysteresis, SLO determinism across fresh/resumed/spawned runs, the
 # saturation acceptance test — plus the churn benchmark gate (>=1000
 # setup requests with control-plane overhead <=10% of wall-clock).
-# The shard job runs the multi-process partitioning suites —
-# byte-identical equivalence against single-process execution on
-# loaded/chaos/churn runs, coordinated checkpoints, cross-shard-count
-# resume, the SIGKILL-one-worker recovery drill — plus the shard
-# scaling benchmark (bit-identical signature gate always; the >=2x
-# 4-shard speedup gate only on hosts with >=4 cores; artefact written
-# to benchmarks/results/shard_scaling.txt).
 # The event job runs the event-scheduler suites — byte-identical
 # equivalence against the exact engine on loaded/chaos/churn runs
 # (including cross-mode checkpoint resume), the next_event_cycle
@@ -61,6 +55,10 @@
 # degraded-guaranteed channel inside its recovery envelope under real
 # injected faults; artefact written to
 # benchmarks/results/schedulability_degraded_tightness.txt).
+# The perfbench job runs the benchmark harness's own tests on
+# shortened workloads (outputs checked against references.json,
+# traced and untraced runs agreeing on every deterministic counter),
+# so an engine refactor cannot silently break the benchmark.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -129,16 +127,6 @@ run_event() {
         "benchmarks/bench_sim_performance.py::test_event_engine_loaded_churn_speedup"
 }
 
-run_shard() {
-    echo "== shard: multi-process equivalence suites + scaling gate =="
-    python -m pytest -q \
-        tests/integration/test_shard_equivalence.py \
-        tests/integration/test_next_event_contract.py \
-        tests/test_cli.py
-    python -m pytest -q -p no:cacheprovider \
-        benchmarks/bench_shard_scaling.py
-}
-
 run_service() {
     echo "== service: churn, overload, SLO determinism + churn gate =="
     python -m pytest -q \
@@ -174,6 +162,11 @@ run_schedulability_faults() {
         "benchmarks/bench_schedulability.py::test_degraded_tightness_gap_is_quantified_and_safe"
 }
 
+run_perfbench() {
+    echo "== perfbench: benchmark harness tests on shortened workloads =="
+    python -m pytest -q perfbench/test_perfbench.py
+}
+
 case "$job" in
     tier1) run_tier1 ;;
     chaos) run_chaos ;;
@@ -182,11 +175,11 @@ case "$job" in
     campaign) run_campaign ;;
     checkpoint) run_checkpoint ;;
     service) run_service ;;
-    shard) run_shard ;;
     event) run_event ;;
     schedulability) run_schedulability ;;
     schedulability-faults) run_schedulability_faults ;;
-    all)   run_tier1; run_chaos; run_bench; run_observability; run_campaign; run_checkpoint; run_service; run_shard; run_event; run_schedulability; run_schedulability_faults ;;
-    *)     echo "unknown job '$job' (tier1|chaos|bench|observability|campaign|checkpoint|service|shard|event|schedulability|schedulability-faults|all)" >&2
+    perfbench) run_perfbench ;;
+    all)   run_tier1; run_chaos; run_bench; run_observability; run_campaign; run_checkpoint; run_service; run_event; run_schedulability; run_schedulability_faults; run_perfbench ;;
+    *)     echo "unknown job '$job' (tier1|chaos|bench|observability|campaign|checkpoint|service|event|schedulability|schedulability-faults|perfbench|all)" >&2
            exit 2 ;;
 esac

@@ -1,4 +1,4 @@
-"""Campaign layer: sharded simulation sweeps over worker pools.
+"""Campaign layer: parallel sweeps over worker pools.
 
 The paper's evaluation is a grid of router configurations; this
 package turns "run the grid" into one declarative, resumable job:

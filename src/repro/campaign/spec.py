@@ -103,11 +103,6 @@ class RunConfig:
     #: hash (see :meth:`to_dict`) — cached results stay valid across
     #: mode switches.
     engine: str = "exact"
-    #: Worker processes the mesh is partitioned across (see
-    #: ``docs/sharding.md``).  Sharded runs are byte-identical to
-    #: single-process ones, so — like the engine mode — the count is
-    #: excluded from the content hash.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if not self.workload or not isinstance(self.workload, str):
@@ -125,8 +120,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.cycles < 1:
             raise ValueError("cycles must be positive")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
         for name in ("requests", "arrival_period_ticks", "hold_ticks",
                      "queue_limit"):
             if getattr(self, name) < 1:
@@ -137,13 +130,11 @@ class RunConfig:
                 raise ValueError(f"{name} must be within [0, 100]")
 
     def to_dict(self) -> dict:
-        """Canonical encoding: the engine mode and shard count are
-        dropped — neither can change a run's outcome, so configs
-        differing only in execution strategy share one content hash
-        (and one cached result)."""
+        """Canonical encoding: the engine mode is dropped — it cannot
+        change a run's outcome, so configs differing only in execution
+        strategy share one content hash (and one cached result)."""
         data = dataclasses.asdict(self)
         del data["engine"]
-        del data["shards"]
         return data
 
     @classmethod
@@ -163,16 +154,16 @@ class RunConfig:
 
 
 #: Raw-run fields that never participate in seed derivation: the seed
-#: itself, and the execution-strategy knobs that are likewise dropped
-#: from the content hash (see :meth:`RunConfig.to_dict`) — a spec that
-#: flips the engine mode or shard count must derive the same seeds,
-#: hit the same cache entries, and report the same signature.
-_FINGERPRINT_EXCLUDED = ("seed", "engine", "shards")
+#: itself, and the engine mode, which is likewise dropped from the
+#: content hash (see :meth:`RunConfig.to_dict`) — a spec that flips the
+#: engine mode must derive the same seeds, hit the same cache entries,
+#: and report the same signature.
+_FINGERPRINT_EXCLUDED = ("seed", "engine")
 
 
 def _fingerprint(fields: Mapping[str, object]) -> str:
-    """Canonical JSON of a run's fields with the seed and the
-    execution-strategy fields removed."""
+    """Canonical JSON of a run's fields with the seed and the engine
+    mode removed."""
     return canonical_dumps({k: v for k, v in fields.items()
                             if k not in _FINGERPRINT_EXCLUDED})
 

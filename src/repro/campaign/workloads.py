@@ -76,7 +76,7 @@ def workload_for(config: RunConfig) -> Callable[[RunConfig], dict]:
 def build_random_workload(width: int, height: int, channels: int,
                           seed: int,
                           rejects: Optional[dict] = None, *,
-                          engine: str = "exact", shard_world=None):
+                          engine: str = "exact"):
     """Admit a seeded random channel set on a fresh mesh.
 
     Returns ``(net, admitted)`` where ``admitted`` pairs each channel
@@ -91,10 +91,6 @@ def build_random_workload(width: int, height: int, channels: int,
     from repro.schedulability import random_channel_demands
 
     net = build_mesh_network(width, height, engine=engine)
-    if shard_world is not None:
-        from repro.shard import install_shard_runtime
-
-        install_shard_runtime(net, shard_world)
     # The demand generator replays this workload's historical RNG
     # stream draw for draw, so admission outcomes are unchanged — and
     # the analytic engine can predict them from the same demand list.
@@ -157,17 +153,7 @@ def run_random(config: RunConfig) -> dict:
             config.width, config.height, config.channels, config.ticks,
             config.seed))
     rejects: dict = {}
-    if config.shards > 1:
-        from repro.shard import run_random_sharded
-
-        session = run_random_sharded(
-            config.width, config.height, config.channels,
-            config.ticks, config.seed, shards=config.shards,
-            store=store, interval=interval)
-        net = session.network
-        admitted = session.admitted
-        rejects = session.admission_rejects
-    elif store is None:
+    if store is None:
         net, admitted = build_random_workload(
             config.width, config.height, config.channels, config.seed,
             rejects, engine=config.engine)
@@ -215,7 +201,6 @@ def run_adversarial(config: RunConfig) -> dict:
     ``invariant_failures``.  This workload has a registered campaign
     pre-filter: cells whose demand set is analytically infeasible are
     skipped before simulation (see :mod:`repro.schedulability.prefilter`).
-    Single-process only; the shard count is ignored.
     """
     from repro.schedulability import (TopologySpec,
                                       adversarial_channel_demands,
@@ -294,7 +279,6 @@ def run_chaos_tightness(config: RunConfig) -> dict:
     ``invariant_failures``.  Cells whose base problem is infeasible or
     whose plan leaves channels at risk are skipped by a registered
     pre-filter (see :mod:`repro.schedulability.prefilter`).
-    Single-process only; the shard count is ignored.
     """
     from repro.schedulability import measure_chaos_tightness
     from repro.schedulability.faultmodel import DEGRADED_GUARANTEED
@@ -343,16 +327,11 @@ def run_chaos(config: RunConfig) -> dict:
         cuts=config.cuts, flaps=config.flaps,
         corruptions=config.corruptions, drops=config.drops,
         babblers=config.babblers, unicast_channels=config.channels,
-        engine=config.engine, shards=config.shards,
+        engine=config.engine,
     )
     store, interval = _run_store_for(
         config, "chaos", ChaosSession.fingerprint_for(chaos_config))
-    if chaos_config.shards > 1:
-        # run_chaos_soak dispatches to the shard coordinator, which
-        # resumes from the store's latest coordinated checkpoint.
-        report = run_chaos_soak(chaos_config, store=store,
-                                interval=interval)
-    elif store is None:
+    if store is None:
         report = run_chaos_soak(chaos_config)
     else:
         session = open_chaos_session(chaos_config, store)
@@ -406,17 +385,12 @@ def run_churn(config: RunConfig) -> dict:
         util_threshold_pct=config.util_threshold_pct,
         buffer_watermark_pct=config.buffer_watermark_pct,
         queue_limit=config.queue_limit,
-        engine=config.engine, shards=config.shards,
+        engine=config.engine,
     )
     store, interval = _run_store_for(
         config, "service",
         ServiceSession.fingerprint_for(service_config))
-    if service_config.shards > 1:
-        # run_service dispatches to the shard coordinator, which
-        # resumes from the store's latest coordinated checkpoint.
-        report = run_service(service_config, store=store,
-                             interval=interval)
-    elif store is None:
+    if store is None:
         report = run_service(service_config)
     else:
         session = open_service_session(service_config, store)

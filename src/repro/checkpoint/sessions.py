@@ -98,50 +98,15 @@ class _SessionBase:
             next_ckpt = (net.cycle // interval + 1) * interval
             net.run(min(target, next_ckpt) - net.cycle)
             if net.cycle % interval == 0:
-                runtime = getattr(net, "_shard", None)
-                if runtime is not None:
-                    # Coordinated checkpoint: converge the partitioned
-                    # state (collective — every worker reaches this at
-                    # the same cycle), then let worker 0 write the
-                    # ordinary full-state document while the others
-                    # write their per-shard slices.
-                    runtime.sync_owned_state()
-                    if not getattr(store, "full_state", True):
-                        store.save(net.cycle, runtime.part_state())
-                        continue
                 store.save(net.cycle, self.state())
 
     def _check_invariants(self) -> None:
-        net = self.network
-        runtime = getattr(net, "_shard", None)
-        if runtime is None:
-            for node, router in net.routers.items():
-                try:
-                    check_router_invariants(router)
-                except InvariantViolation as exc:
-                    self.invariant_failures.append(
-                        f"cycle {net.cycle} {node}: {exc}")
-            return
-        # Sharded: each worker checks its owned routers (replicas are
-        # frozen at their last synced state and would trip nothing
-        # real); the merged, mesh-ordered result is identical on every
-        # worker — and to the single-process scan.
-        local = []
-        for node, router in net.routers.items():
-            if not runtime.owns(node):
-                continue
+        for node, router in self.network.routers.items():
             try:
                 check_router_invariants(router)
             except InvariantViolation as exc:
-                local.append((node, f"cycle {net.cycle} {node}: {exc}"))
-        self.invariant_failures.extend(
-            runtime.merge_invariant_failures(local))
-
-    def _finalize_shard(self) -> None:
-        """Converge partitioned state before reading final results."""
-        runtime = getattr(self.network, "_shard", None)
-        if runtime is not None:
-            runtime.final_sync()
+                self.invariant_failures.append(
+                    f"cycle {self.network.cycle} {node}: {exc}")
 
     def state(self) -> dict:  # pragma: no cover - interface
         raise NotImplementedError
@@ -161,7 +126,6 @@ class ChaosSession(_SessionBase):
 
     def __init__(self, config, plan=None, *,
                  check_every: Optional[int] = None,
-                 shard_world=None,
                  _restore: bool = False) -> None:
         from repro.faults import install_fault_tolerance
         from repro.faults.harness import _establish_workload
@@ -176,10 +140,6 @@ class ChaosSession(_SessionBase):
                                    on_memory_full="drop",
                                    engine=getattr(config, "engine",
                                                   "exact"))
-        if shard_world is not None:
-            from repro.shard import install_shard_runtime
-
-            install_shard_runtime(self.network, shard_world)
         self.admission_rejects: dict[str, int] = {}
         if _restore:
             self.channels: list = []
@@ -219,12 +179,8 @@ class ChaosSession(_SessionBase):
         # Both engine modes produce byte-identical runs, so the mode is
         # not behaviour-shaping: dropping it keeps fingerprints of
         # pre-existing checkpoints valid and lets a run checkpointed in
-        # one mode resume in the other.  The shard count is excluded
-        # for the same reason: sharded runs are byte-identical to
-        # single-process ones, and worker 0's checkpoints are ordinary
-        # full-state documents resumable at any shard count.
+        # one mode resume in the other.
         config_dict.pop("engine", None)
-        config_dict.pop("shards", None)
         return fingerprint_of({
             "workload": cls.KIND,
             "config": config_dict,
@@ -269,7 +225,6 @@ class ChaosSession(_SessionBase):
             self.injector.detach()
             self.tolerance.detach()
             self.phase = "done"
-        self._finalize_shard()
         return self.report()
 
     def report(self):
@@ -334,14 +289,11 @@ class ChaosSession(_SessionBase):
 
     @classmethod
     def restore(cls, config, state: dict, plan=None, *,
-                check_every: Optional[int] = None,
-                shard_world=None) -> "ChaosSession":
+                check_every: Optional[int] = None) -> "ChaosSession":
         session = cls(config, plan=plan, check_every=check_every,
-                      shard_world=shard_world, _restore=True)
+                      _restore=True)
         ctx = LoadContext(state["metas"])
         session.network.load_state(state["network"], ctx)
-        if session.network._shard is not None:
-            session.network._shard.resync()
         session.injector.load_state(state["injector"])
         session.tolerance.watchdog.load_state(state["watchdog"])
         session.tolerance.controller.load_state(state["controller"])
@@ -386,7 +338,7 @@ class RandomWorkloadSession(_SessionBase):
 
     def __init__(self, width: int, height: int, channels: int,
                  ticks: int, seed: int, *, check_every: int = 0,
-                 engine: str = "exact", shard_world=None,
+                 engine: str = "exact",
                  _restore: bool = False) -> None:
         from repro.campaign.spec import derive_seed
         from repro.campaign.workloads import build_random_workload
@@ -404,15 +356,11 @@ class RandomWorkloadSession(_SessionBase):
 
             self.network = build_mesh_network(width, height,
                                               engine=engine)
-            if shard_world is not None:
-                from repro.shard import install_shard_runtime
-
-                install_shard_runtime(self.network, shard_world)
             self.admitted: list = []
         else:
             self.network, self.admitted = build_random_workload(
                 width, height, channels, seed, self.admission_rejects,
-                engine=engine, shard_world=shard_world)
+                engine=engine)
         self.rng = random.Random(derive_seed(seed, "traffic"))
         self.nodes = list(self.network.mesh.nodes())
         self.slot = self.network.params.slot_cycles
@@ -468,7 +416,6 @@ class RandomWorkloadSession(_SessionBase):
             if self.check_every > 0:
                 self._check_invariants()
             self.phase = "done"
-        self._finalize_shard()
         return net
 
     # -- checkpointing -----------------------------------------------------
@@ -494,15 +441,13 @@ class RandomWorkloadSession(_SessionBase):
     @classmethod
     def restore(cls, width: int, height: int, channels: int,
                 ticks: int, seed: int, state: dict, *,
-                check_every: int = 0, engine: str = "exact",
-                shard_world=None) -> "RandomWorkloadSession":
+                check_every: int = 0,
+                engine: str = "exact") -> "RandomWorkloadSession":
         session = cls(width, height, channels, ticks, seed,
                       check_every=check_every, engine=engine,
-                      shard_world=shard_world, _restore=True)
+                      _restore=True)
         ctx = LoadContext(state["metas"])
         session.network.load_state(state["network"], ctx)
-        if session.network._shard is not None:
-            session.network._shard.resync()
         session.admitted = []
         for label, i_min in state["admitted"]:
             channel = session.network.manager.find(label)

@@ -208,40 +208,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         RandomWorkloadSession.fingerprint_for(
             args.width, args.height, args.channels, args.ticks,
             args.seed))
-    if args.shards > 1:
-        if args.resume_from:
-            print("error: --resume-from is not supported with "
-                  "--shards; sharded runs resume from the store's "
-                  "latest coordinated checkpoint automatically",
-                  file=sys.stderr)
-            return 2
-        from repro.shard import run_random_sharded
-
-        session = run_random_sharded(
-            args.width, args.height, args.channels, args.ticks,
-            args.seed, shards=args.shards, check_every=check_every,
-            store=store, interval=args.checkpoint_interval)
-        net = session.network
-        print(f"admitted {len(session.admitted)} of {args.channels} "
-              f"channels ({args.shards} shards)")
-        for failure in session.invariant_failures:
-            print(f"INVARIANT VIOLATION: {failure}")
-        tc = net.log.latency_summary("TC")
-        be = net.log.latency_summary("BE")
-        print("\n".join(format_kv([
-            ("time-constrained delivered", tc.count),
-            ("deadline misses", net.log.deadline_misses),
-            ("TC mean latency (cycles)", f"{tc.mean:.0f}"),
-            ("best-effort delivered", be.count),
-            ("BE mean latency (cycles)", f"{be.mean:.0f}"),
-        ])))
-        if args.csv:
-            from repro.reporting import write_log_csv
-            path = write_log_csv(args.csv, net.log)
-            print(f"wrote {path}")
-        if session.invariant_failures:
-            return 1
-        return 0 if net.log.deadline_misses == 0 else 1
     if args.resume_from:
         document = store.load(args.resume_from)
         session = RandomWorkloadSession.restore(
@@ -323,7 +289,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         cycles=args.cycles, cuts=args.cuts, flaps=args.flaps,
         corruptions=args.corruptions, drops=args.drops,
         babblers=args.babblers, engine=args.engine,
-        shards=args.shards,
     )
     plan = None
     if args.plan_file:
@@ -332,23 +297,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         # Malformed plan files raise ValueError, which main() turns
         # into a message on stderr and exit status 2.
         plan = FaultPlan.from_file(args.plan_file)
-    if args.shards > 1 and args.resume_from:
-        print("error: --resume-from is not supported with --shards; "
-              "sharded runs resume from the store's latest coordinated "
-              "checkpoint automatically", file=sys.stderr)
-        return 2
     try:
-        if args.shards > 1:
-            from repro.checkpoint import ChaosSession
-
-            store = _checkpoint_store(
-                args, "chaos",
-                ChaosSession.fingerprint_for(config, plan=plan))
-            report = run_chaos_soak(config, plan,
-                                    check_every=args.check_invariants,
-                                    store=store,
-                                    interval=args.checkpoint_interval)
-        elif args.resume_from or args.checkpoint_dir:
+        if args.resume_from or args.checkpoint_dir:
             from repro.checkpoint import ChaosSession
 
             store = _checkpoint_store(
@@ -430,22 +380,10 @@ def _cmd_service(args: argparse.Namespace) -> int:
         analytic_preadmission=args.analytic_preadmission,
         fault_plan_json=fault_plan_json,
         engine=args.engine,
-        shards=args.shards,
     )
     config.validate()
     check_every = args.check_invariants or 0
-    if args.shards > 1 and args.resume_from:
-        print("error: --resume-from is not supported with --shards; "
-              "sharded runs resume from the store's latest coordinated "
-              "checkpoint automatically", file=sys.stderr)
-        return 2
-    if args.shards > 1:
-        store = _checkpoint_store(
-            args, "service", ServiceSession.fingerprint_for(config))
-        report = run_service(config, check_every=check_every,
-                             store=store,
-                             interval=args.checkpoint_interval)
-    elif args.resume_from or args.checkpoint_dir:
+    if args.resume_from or args.checkpoint_dir:
         store = _checkpoint_store(
             args, "service", ServiceSession.fingerprint_for(config))
         if args.resume_from:
@@ -645,15 +583,6 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
                              "docs/performance.md)")
 
 
-def _add_shards_arg(parser: argparse.ArgumentParser) -> None:
-    """Shard-count switch shared by the simulation subcommands."""
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="partition the mesh across N worker "
-                             "processes (byte-identical results; "
-                             "implies --engine event; see "
-                             "docs/sharding.md)")
-
-
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     """Checkpoint/restore flags shared by ``simulate`` and ``chaos``."""
     parser.add_argument("--checkpoint-dir", default=None,
@@ -701,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--csv", default=None)
     _add_engine_arg(simulate)
-    _add_shards_arg(simulate)
     _add_checkpoint_args(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -722,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--repeat", action="store_true",
                        help="run twice and verify identical signatures")
     _add_engine_arg(chaos)
-    _add_shards_arg(chaos)
     _add_checkpoint_args(chaos)
     chaos.set_defaults(func=_cmd_chaos)
 
@@ -774,12 +701,11 @@ def build_parser() -> argparse.ArgumentParser:
     service.add_argument("--repeat", action="store_true",
                          help="run twice and verify identical signatures")
     _add_engine_arg(service)
-    _add_shards_arg(service)
     _add_checkpoint_args(service)
     service.set_defaults(func=_cmd_service)
 
     campaign = commands.add_parser(
-        "campaign", help="run a sharded simulation sweep from a spec "
+        "campaign", help="run a parallel sweep from a spec "
                          "file (see docs/campaigns.md)")
     campaign.add_argument("spec", help="campaign spec JSON path")
     campaign.add_argument("--workers", type=int, default=1,

@@ -162,9 +162,8 @@ class TimeConstrainedPacket:
             )
         # Reuse the carried meta directly: constructing with the default
         # factory would burn a packet id from the process-global counter
-        # on every reassembly, which only the router's owner performs in
-        # sharded runs — the wasted draw would desynchronise id streams
-        # across shard workers.
+        # on every reassembly.  Reassembly must not draw ids, so the id
+        # stream depends only on sends.
         if meta is None:
             meta = PacketMeta()
         return cls(connection_id=data[0], header_deadline=data[1],

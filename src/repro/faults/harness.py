@@ -49,11 +49,6 @@ class ChaosConfig:
     #: Engine scheduling mode ("exact" or "event"); both produce
     #: byte-identical reports — "event" just skips idle work.
     engine: str = "exact"
-    #: Worker processes the mesh is partitioned across (see
-    #: ``docs/sharding.md``); 1 runs single-process.  Sharded soaks
-    #: produce byte-identical reports, so the count is excluded from
-    #: the checkpoint fingerprint like the engine mode.
-    shards: int = 1
 
 
 @dataclass
@@ -184,12 +179,6 @@ def run_chaos_soak(config: ChaosConfig,
         ChaosSession,
     )
 
-    if getattr(config, "shards", 1) > 1:
-        from repro.shard import run_chaos_sharded
-
-        return run_chaos_sharded(config, plan,
-                                 check_every=check_every,
-                                 store=store, interval=interval)
     session = ChaosSession(config, plan=plan, check_every=check_every)
     return session.run(store=store,
                        interval=(DEFAULT_CHECKPOINT_INTERVAL

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 #: Engine execution modes (see module docstring).
 ENGINE_MODES = ("exact", "event")
@@ -130,23 +130,6 @@ class SynchronousEngine:
         self._heap: list = []
         self._push_seq = 0
         self._pending_wakes: set = set()
-        #: Components registered but deliberately never stepped (shard
-        #: replicas of routers owned by another worker; see
-        #: ``repro.shard``).  They keep their registration index — so
-        #: firing order stays identical across workers — but the
-        #: scheduler never queries or steps them.
-        self._inert: set = set()
-        #: Registration index of the component currently inside
-        #: ``step`` during ``_event_step_once`` (None outside component
-        #: steps).  Shard runtimes use it to tag trace emissions with
-        #: their origin for deterministic cross-worker merging.
-        self.stepping_order: Optional[int] = None
-        #: Optional hook run after the wiring loop of every executed
-        #: event-mode cycle, before the clock increments.  Receives the
-        #: executed cycle; may return an iterable of components to
-        #: requery (components it delivered inputs to).  Shard runtimes
-        #: use it as the boundary-exchange barrier.
-        self.post_wiring_hook: Optional[Callable] = None
 
     _FF_BACKOFF_CAP = 64
 
@@ -208,7 +191,6 @@ class SynchronousEngine:
         self._watchers.discard(component)
         self._sched.pop(component, None)
         self._pending_wakes.discard(component)
-        self._inert.discard(component)
         if self._heap:
             # Purge queued heap entries outright.  Lazy deletion (the
             # ``_sched`` match) is not enough here: a component removed
@@ -284,59 +266,6 @@ class SynchronousEngine:
         """
         self._pending_wakes.add(component)
 
-    def set_inert(self, component: Steppable, inert: bool = True) -> None:
-        """Mark a registered component as never-stepped (or unmark it).
-
-        An inert component keeps its registration index — so the
-        firing order of everything else is unchanged — but the engine
-        neither steps nor queries it.  Shard workers mark the routers
-        owned by other workers inert: their state is maintained by the
-        boundary exchange instead of local stepping.
-        """
-        if component not in self._order:
-            raise ValueError(
-                f"component {component!r} is not registered with this engine"
-            )
-        if inert:
-            self._inert.add(component)
-            self._sched.pop(component, None)
-        else:
-            self._inert.discard(component)
-
-    def schedule_at(self, component: Steppable, when: int) -> None:
-        """Force a component onto the event queue for cycle ``when``.
-
-        Used by shard runtimes to pin their barrier component to the
-        window bound; over-scheduling is safe by the step contract.
-        """
-        if component not in self._order:
-            raise ValueError(
-                f"component {component!r} is not registered with this engine"
-            )
-        if self._sched.get(component) == when:
-            return
-        self._sched[component] = when
-        self._push_seq += 1
-        heapq.heappush(self._heap,
-                       (when, self._order[component], self._push_seq,
-                        component))
-
-    def event_bound(self) -> Optional[int]:
-        """This worker's local event horizon (event mode only).
-
-        Returns the current cycle when something is due right now (a
-        scheduled component or active source-less wiring), the earliest
-        scheduled future cycle otherwise, or ``None`` when nothing is
-        scheduled at all.  Shard runtimes all-reduce this across
-        workers to find the next globally executed cycle.
-        """
-        due = self._event_next_due()
-        if due is not None and due <= self.cycle:
-            return self.cycle
-        if not self._event_wirings_idle():
-            return self.cycle
-        return due
-
     def _refresh_ff_capability(self) -> None:
         self._ff_capable = (
             all(hasattr(c, "next_event_cycle") for c in self._components)
@@ -387,17 +316,14 @@ class SynchronousEngine:
     def _step_once(self) -> None:
         # Snapshot so add/remove_component from inside a step cannot
         # skip or double-step a neighbour (mutation during iteration).
-        inert = self._inert
         for component in tuple(self._components):
-            if inert and component in inert:
-                continue
             component.step(self.cycle)
         for transfer in self._wiring:
             transfer()
         self.cycle += 1
         self.cycles_stepped += 1
 
-    def _next_event_bound(self) -> Optional[float]:
+    def _idle_horizon(self) -> Optional[float]:
         """Earliest future cycle at which anything can happen.
 
         Returns ``None`` when some component or wiring has work *now*
@@ -407,10 +333,7 @@ class SynchronousEngine:
         all — pure time passage.
         """
         bound: Optional[float] = None
-        inert = self._inert
         for component in self._components:
-            if inert and component in inert:
-                continue
             nxt = component.next_event_cycle(self.cycle)
             if nxt is None:
                 continue
@@ -429,7 +352,7 @@ class SynchronousEngine:
             return False
         if self.cycle < self._ff_retry_cycle:
             return False
-        bound = self._next_event_bound()
+        bound = self._idle_horizon()
         if bound is None or bound <= self.cycle:
             self._ff_retry_cycle = self.cycle + self._ff_backoff
             self._ff_backoff = min(self._ff_backoff * 2,
@@ -458,8 +381,6 @@ class SynchronousEngine:
         """
         if component not in self._order:
             return  # removed since the wake/sink reference was taken
-        if component in self._inert:
-            return  # maintained by the shard boundary exchange
         probe = getattr(component, "next_event_cycle", None)
         nxt = probe(now) if probe is not None else now
         if nxt is None:
@@ -523,9 +444,7 @@ class SynchronousEngine:
         stepped: list = []
         while batch:
             order, component = heapq.heappop(batch)
-            self.stepping_order = order
             component.step(now)
-            self.stepping_order = None
             stepped.append(component)
             # In-cycle cascade: a step can hand work directly to a
             # peer *later* in the firing order (a host injecting into
@@ -534,8 +453,7 @@ class SynchronousEngine:
             # Peers earlier in the order have already had their exact
             # firing slot; they are requeried for the next cycle below.
             for partner in self._peers.get(component, ()):
-                if (partner in batched or partner not in self._order
-                        or partner in self._inert):
+                if partner in batched or partner not in self._order:
                     continue
                 partner_order = self._order[partner]
                 if partner_order <= order:
@@ -554,8 +472,6 @@ class SynchronousEngine:
         wiring = self._wiring
         for index in run_indices:
             wiring[index]()
-        hook = self.post_wiring_hook
-        hooked = hook(now) if hook is not None else ()
         self.cycle += 1
         self.cycles_stepped += 1
         # Requery everything this cycle could have affected.  A watcher
@@ -566,8 +482,6 @@ class SynchronousEngine:
             return
         now = self.cycle
         requery = set(stepped)
-        if hooked:
-            requery.update(hooked)
         for component in stepped:
             requery.update(self._peers.get(component, ()))
         for index in run_indices:

@@ -54,13 +54,6 @@ class HostNode:
         #: Packet-lifecycle tracer (set by MeshNetwork.enable_tracing);
         #: None keeps the hot path allocation-free.
         self.tracer = None
-        #: Sharded execution (see :mod:`repro.shard`): False when this
-        #: node's router belongs to another worker.  The host still
-        #: steps fully replicated — sources fire, releases pop, trace
-        #: events stamp — but skips the inject/drain interactions with
-        #: its (inert, never-stepping) replica router; deliveries reach
-        #: the log through the shard barrier instead.
-        self.shard_owned = True
 
     def attach_source(self, source: SourceFn) -> None:
         self.sources.append(source)
@@ -78,8 +71,7 @@ class HostNode:
     def send_be(self, packet: BestEffortPacket, cycle: int) -> None:
         packet.meta.injected_cycle = cycle
         packet.meta.source = self.node
-        if self.shard_owned:
-            self.router.inject_be(packet)
+        self.router.inject_be(packet)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Engine fast-forward contract (see ``docs/performance.md``).
@@ -91,7 +83,7 @@ class HostNode:
         keeps the host — and therefore the fabric — stepping every
         cycle, which preserves exact legacy behaviour.
         """
-        if self.shard_owned and self.router.delivered:
+        if self.router.delivered:
             return cycle  # reception port waiting to be drained
         bound: Optional[int] = None
         for source in self.sources:
@@ -122,13 +114,10 @@ class HostNode:
             __, __, packet = heapq.heappop(self._release_heap)
             packet.meta.injected_cycle = cycle
             packet.meta.source = self.node
-            if self.shard_owned:
-                self.router.inject_tc(packet)
+            self.router.inject_tc(packet)
             if self.tracer is not None:
                 self.tracer.emit(cycle, RELEASE, meta=packet.meta,
                                  node=self.node, traffic_class="TC")
-        if not self.shard_owned:
-            return
         for packet in self.router.take_delivered():
             if (isinstance(packet, BestEffortPacket)
                     and packet.meta.relay_path):

@@ -112,19 +112,11 @@ class PacketTracer:
                 label = meta.connection_label
             if sequence is None:
                 sequence = meta.sequence
-        self.emit_raw((cycle, event, packet_id, node, port,
-                       traffic_class, label, sequence, queue, info))
-
-    def emit_raw(self, item: tuple) -> None:
-        """Record one pre-built event tuple (see :data:`EVENT_FIELDS`).
-
-        The extension point sharded execution overrides to defer
-        in-step emissions for its deterministic cross-worker merge.
-        """
         slot = self._next
         if self._ring[slot] is not None:
             self.dropped += 1
-        self._ring[slot] = item
+        self._ring[slot] = (cycle, event, packet_id, node, port,
+                            traffic_class, label, sequence, queue, info)
         self._next = (slot + 1) % self.capacity
         self.emitted += 1
 

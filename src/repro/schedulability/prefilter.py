@@ -8,8 +8,8 @@ are never silently dropped (see ``CampaignReport.infeasible``).
 
 Only workloads with a registered prefilter are ever filtered; the
 default workloads stay untouched.  A verdict must be a pure function
-of the config so the decision is identical across runner invocations,
-shard counts and resumes.
+of the config so the decision is identical across runner invocations
+and resumes.
 """
 
 from __future__ import annotations

@@ -63,6 +63,21 @@ class TestRunConfig:
         assert a.content_hash() == b.content_hash()
         assert len(a.content_hash()) == 64
 
+    def test_content_hash_golden_values(self):
+        # Literal pins: result caches written by earlier versions must
+        # stay addressable, and the engine mode never enters the hash.
+        golden = {
+            "chaos": "6de7633588ebd4bdbde0a1a8d745868b"
+                     "49a537d24d7163f3891fee1a5d4dce7c",
+            "churn": "1e3ceeeb600d2d939b39ba342849f84a"
+                     "895f8c3b8c2f65e0251e7fe7f28d9906",
+        }
+        for workload, expected in golden.items():
+            for engine in ("exact", "event"):
+                config = RunConfig(workload=workload, seed=9,
+                                   engine=engine)
+                assert config.content_hash() == expected
+
     def test_hash_differs_by_field(self):
         assert (RunConfig(seed=1).content_hash()
                 != RunConfig(seed=2).content_hash())
@@ -111,6 +126,25 @@ class TestExpansion:
         a = {r.replica: r.seed for r in grid_spec(master_seed=1).expand()}
         b = {r.replica: r.seed for r in grid_spec(master_seed=2).expand()}
         assert all(a[k] != b[k] for k in a)
+
+    def test_derived_seeds_invariant(self):
+        # A spec that flips the engine mode must derive the same
+        # per-run seeds — otherwise the flip silently reshuffles seeds,
+        # misses the cache, and changes the campaign signature.
+        def expanded(extra):
+            spec = CampaignSpec(
+                name="inv", master_seed=3, mode="grid",
+                base=dict({"workload": "random", "width": 4,
+                           "height": 4, "channels": 3, "ticks": 60},
+                          **extra),
+                axes={"replica": [0, 1]})
+            return spec.expand()
+
+        plain = expanded({})
+        runs = expanded({"engine": "event"})
+        assert [r.seed for r in runs] == [r.seed for r in plain]
+        assert ([r.content_hash() for r in runs]
+                == [r.content_hash() for r in plain])
 
     def test_explicit_seed_respected(self):
         spec = grid_spec(axes={"seed": [5, 6]})

@@ -70,6 +70,15 @@ class TestFingerprints:
         bumped = ChaosConfig(cycles=2000, settle_cycles=500, seed=99)
         assert base != ChaosSession.fingerprint_for(bumped)
 
+    def test_chaos_fingerprint_golden_value(self):
+        # Literal pin: checkpoints written by earlier versions must
+        # stay resumable, and the engine mode never enters it.
+        golden = ("efe9f535ec555e6c22ab911b8ba5fece"
+                  "000b7a5fc139b148df02503e11e3811a")
+        for engine in ("exact", "event"):
+            config = ChaosConfig(seed=1234, engine=engine)
+            assert ChaosSession.fingerprint_for(config) == golden
+
     def test_random_fingerprint_pins_every_knob(self):
         base = RandomWorkloadSession.fingerprint_for(3, 3, 4, 40, 9)
         assert base == RandomWorkloadSession.fingerprint_for(3, 3, 4, 40, 9)

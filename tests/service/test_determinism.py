@@ -54,6 +54,17 @@ class TestFreshRuns:
             run_service(other).signature()
 
 
+class TestFingerprint:
+    def test_service_fingerprint_golden_value(self):
+        # Literal pin: checkpoints written by earlier versions must
+        # stay resumable, and the engine mode never enters it.
+        golden = ("aa94c00895a907e085df6e2f1c917919"
+                  "5a65c1aa243f0f9ac18c0a361abe1666")
+        for engine in ("exact", "event"):
+            config = ServiceRunConfig(requests=60, engine=engine)
+            assert ServiceSession.fingerprint_for(config) == golden
+
+
 class TestResumedRuns:
     def test_resume_from_mid_run_checkpoint_is_identical(self, tmp_path):
         reference = run_service(CONFIG)

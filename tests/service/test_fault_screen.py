@@ -112,7 +112,7 @@ class TestRunConfigIntegration:
         # Off is the historical behaviour: pre-existing checkpoints
         # must still resume, so the unset field never fingerprints.
         legacy = dataclasses.asdict(base)
-        for dropped in ("engine", "shards", "analytic_preadmission",
+        for dropped in ("engine", "analytic_preadmission",
                         "fault_plan_json"):
             legacy.pop(dropped)
         from repro.checkpoint.store import fingerprint_of

@@ -133,7 +133,6 @@ class TestRunConfigIntegration:
                 != ServiceSession.fingerprint_for(on))
         legacy = dataclasses.asdict(base)
         legacy.pop("engine")
-        legacy.pop("shards")
         legacy.pop("analytic_preadmission")
         legacy.pop("fault_plan_json")
         from repro.checkpoint.store import fingerprint_of

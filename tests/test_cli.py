@@ -80,27 +80,6 @@ class TestSimulate:
         assert "usage" in capsys.readouterr().err
 
 
-class TestShardedCli:
-    ARGS = ["--width", "4", "--height", "4", "--channels", "4",
-            "--ticks", "60", "--seed", "3"]
-
-    def test_simulate_sharded_matches_single(self, capsys):
-        assert main(["simulate", *self.ARGS]) == 0
-        single = capsys.readouterr().out
-        assert main(["simulate", *self.ARGS, "--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert "(2 shards)" in sharded
-        # Identical stats table (the admitted/shards line aside).
-        tail = lambda out: out.splitlines()[1:]
-        assert tail(sharded) == tail(single)
-
-    def test_sharded_resume_from_rejected(self, capsys, tmp_path):
-        code = main(["simulate", *self.ARGS, "--shards", "2",
-                     "--resume-from", str(tmp_path / "ckpt.json")])
-        assert code == 2
-        assert "latest coordinated checkpoint" in capsys.readouterr().err
-
-
 class TestErrorHandling:
     """Bad usage and unreadable inputs: stderr + exit status, never a
     traceback or an escaping SystemExit."""
