@@ -153,27 +153,48 @@ def _timed_churn(engine):
                               arrival_period_ticks=64, hold_ticks=20,
                               engine=engine)
     session = ServiceSession(config)
+    net = session.network
+    counts = {"probes": 0, "rebuilds": 0}
+    # Deterministic work counters, counted by wrapping the instances
+    # (the engine looks both methods up on the instance at call time).
+    for component in [*net.routers.values(), *net.hosts.values()]:
+        _count_calls(component, "next_event_cycle", counts, "probes")
+    _count_calls(net.engine, "_event_full_requery", counts, "rebuilds")
     start = time.perf_counter()
     report = session.run()
-    return session, report, time.perf_counter() - start
+    return session, report, time.perf_counter() - start, counts
+
+
+def _count_calls(owner, name, counts, key):
+    original = getattr(owner, name)
+
+    def counted(*args):
+        counts[key] += 1
+        return original(*args)
+
+    setattr(owner, name, counted)
 
 
 def test_event_engine_loaded_churn_speedup(report):
     """Acceptance gate: the event scheduler is >= 5x faster than the
     exact engine on loaded churn over a 16x16 mesh (target 10x), with
-    a byte-identical SLO report signature."""
+    a byte-identical SLO report signature.  The event scheduler's work
+    is gated deterministically too: its persistent queue is rebuilt
+    once per run and probes at most 10 components per executed cycle."""
     rounds = 2
     ratios = []
     best = {"exact": None, "event": None}
     reports = {}
     engines = {}
+    counts = {}
     for round_index in range(rounds):
         order = ["exact", "event"]
         if round_index % 2:
             order.reverse()
         seconds = {}
         for mode in order:
-            session, slo_report, seconds[mode] = _timed_churn(mode)
+            session, slo_report, seconds[mode], counts[mode] = \
+                _timed_churn(mode)
             reports[mode] = slo_report
             engines[mode] = session.network.engine
             if best[mode] is None or seconds[mode] < best[mode]:
@@ -187,6 +208,16 @@ def test_event_engine_loaded_churn_speedup(report):
     event_engine = engines["event"]
     assert (event_engine.cycles_stepped
             + event_engine.cycles_fast_forwarded == event_engine.cycle)
+    # Work gates: identical executed/skipped cycles to the scheduler
+    # that rebuilt its queue at every run entry, one rebuild (the first
+    # entry), and readiness pushed rather than polled.
+    assert event_engine.cycles_stepped == 14_924
+    assert event_engine.cycles_fast_forwarded == 7_156
+    assert counts["event"]["rebuilds"] == 1
+    probes_per_cycle = (counts["event"]["probes"]
+                        / event_engine.cycles_stepped)
+    assert probes_per_cycle <= 10, (
+        f"{probes_per_cycle:.2f} probes per executed cycle (gate: <= 10)")
     # The exact engine was genuinely load-bound: it executed the vast
     # majority of cycles one by one...
     exact_engine = engines["exact"]
@@ -200,19 +231,23 @@ def test_event_engine_loaded_churn_speedup(report):
 
     report("event_engine_speedup", fmt_table(
         ["engine", "seconds (best)", "cycles stepped",
-         "cycles skipped"], [
+         "cycles skipped", "probes"], [
             ["exact (per-cycle loop)", f"{best['exact']:.2f}",
              exact_engine.cycles_stepped,
-             exact_engine.cycles_fast_forwarded],
+             exact_engine.cycles_fast_forwarded,
+             counts["exact"]["probes"]],
             ["event (scheduler)", f"{best['event']:.2f}",
              event_engine.cycles_stepped,
-             event_engine.cycles_fast_forwarded],
+             event_engine.cycles_fast_forwarded,
+             counts["event"]["probes"]],
         ]) + [
         "",
         "workload: 16x16 mesh, 16 churning channel requests "
         "(arrival period 64 ticks, mean hold 20 ticks)",
         f"speedup: {speedup:.2f}x best paired round "
         "(gate: >= 5x; SLO report signatures byte-identical)",
+        f"event probes per executed cycle: {probes_per_cycle:.2f} "
+        "(gate: <= 10); queue rebuilds: 1 (gate: exactly 1)",
     ])
 
 

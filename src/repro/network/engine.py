@@ -32,6 +32,11 @@ documents the contracts):
   Components scheduled on the same cycle fire in registration order
   (the order ``add_component`` was called), which is also the exact
   mode's step order, so the two modes are step-for-step identical.
+  The queue persists across ``run``/``run_until`` calls: readiness is
+  pushed to it (a stepped component, its peers, the sinks of wiring
+  that delivered a signal, explicit :meth:`SynchronousEngine.wake`
+  calls), never polled, and it is rebuilt from scratch only after a
+  registration change, a checkpoint restore or a watcher step.
 """
 
 from __future__ import annotations
@@ -65,9 +70,12 @@ class SynchronousEngine:
     stepped this cycle (plus source-less wiring) runs.  A component
     without ``next_event_cycle`` is treated as due on every cycle, so
     legacy components stay exact (at per-cycle cost).  The scheduler
-    queue is transient: it is rebuilt from component state at every
-    ``run``/``run_until`` entry, so checkpoint restore and arbitrary
-    between-run mutations need no queue serialisation.
+    queue persists across ``run``/``run_until`` calls.  An entry
+    requeries only the woken components and the watchers, and rebuilds
+    the queue only when it is invalid — before the first event-mode
+    run and after ``add_component``, ``remove_component``,
+    ``add_wiring`` or ``load_state``.  Checkpoints therefore carry no
+    queue state: a restored engine rebuilds it on its first run.
     """
 
     def __init__(self, *, fast_forward: bool = True,
@@ -102,7 +110,7 @@ class SynchronousEngine:
         # spans worth skipping.
         self._ff_retry_cycle = 0
         self._ff_backoff = 1
-        # -- event-mode scheduler (all transient; rebuilt at run entry)
+        # -- event-mode scheduler (persistent; rebuilt when invalid)
         #: component -> registration index (the same-cycle firing order).
         self._order: dict = {}
         self._order_counter = 0
@@ -130,6 +138,10 @@ class SynchronousEngine:
         self._heap: list = []
         self._push_seq = 0
         self._pending_wakes: set = set()
+        #: False until the first full rebuild and again after every
+        #: registration change or ``load_state``; the next run entry
+        #: then rebuilds the queue instead of trusting it.
+        self._queue_valid = False
 
     _FF_BACKOFF_CAP = 64
 
@@ -154,7 +166,7 @@ class SynchronousEngine:
         self._order_counter += 1
         if not local:
             self._watchers.add(component)
-        self._refresh_ff_capability()
+        self._registration_changed()
 
     def bind_peers(self, first: Steppable, second: Steppable) -> None:
         """Declare two local components as mutual wake partners.
@@ -213,7 +225,7 @@ class SynchronousEngine:
                 self._wiring_sources[index] = None
                 self._sourceless_wirings.append(index)
             self._sourceless_wirings.sort()
-        self._refresh_ff_capability()
+        self._registration_changed()
 
     def add_wiring(
         self,
@@ -243,6 +255,13 @@ class SynchronousEngine:
         write (a sequence, or a callable returning one for dynamic
         sets); they are requeried after every cycle the wiring ran, so
         a delivered signal schedules its consumer for the next cycle.
+
+        ``transfer`` may return ``False`` to report that it delivered
+        nothing this cycle; the event scheduler then skips the sink
+        requery.  Any other return value (``None`` included) keeps it.
+        Return ``False`` only when the sinks' readiness is unchanged —
+        for example when an empty input is overwritten with another
+        empty one.
         """
         self._wiring.append(transfer)
         self._wiring_idle_checks.append(idle_check)
@@ -253,20 +272,22 @@ class SynchronousEngine:
             self._sourceless_wirings.append(index)
         else:
             self._source_wirings.setdefault(source, []).append(index)
-        self._refresh_ff_capability()
+        self._registration_changed()
 
     def wake(self, component: Steppable) -> None:
         """Ask the event scheduler to requery a component.
 
         Call after mutating a component from *outside* its own step —
-        queueing packets on a host, injecting into a router — so its
-        ``next_event_cycle`` is re-read at the next cycle boundary.
-        Cheap and idempotent; a no-op in exact mode and for
-        unregistered components.
+        queueing packets on a host, injecting into a router, attaching
+        a traffic source — so its ``next_event_cycle`` is re-read at the
+        next cycle boundary or run entry.  The queue persists across
+        runs, so a local component mutated without a wake keeps its
+        stale schedule.  Cheap and idempotent; a no-op in exact mode and
+        for unregistered components.
         """
         self._pending_wakes.add(component)
 
-    def _refresh_ff_capability(self) -> None:
+    def _registration_changed(self) -> None:
         self._ff_capable = (
             all(hasattr(c, "next_event_cycle") for c in self._components)
             and all(check is not None for check in self._wiring_idle_checks)
@@ -275,6 +296,8 @@ class SynchronousEngine:
         # forget any backoff so the next cycle re-evaluates fresh.
         self._ff_retry_cycle = 0
         self._ff_backoff = 1
+        # The event queue no longer covers the registered set.
+        self._queue_valid = False
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -284,9 +307,9 @@ class SynchronousEngine:
         """Checkpoint state (see ``docs/checkpointing.md``).
 
         The event scheduler's queue is deliberately absent: it is a
-        pure function of component state and is rebuilt from
-        ``next_event_cycle`` at every run entry, so a restored session
-        re-seeds it for free.
+        pure function of component state, and :meth:`load_state`
+        invalidates it, so a restored session rebuilds it from
+        ``next_event_cycle`` at its first run entry.
         """
         return {
             "cycle": self.cycle,
@@ -308,6 +331,7 @@ class SynchronousEngine:
         self.cycles_fast_forwarded = int(state["cycles_fast_forwarded"])
         self._ff_retry_cycle = int(state["ff_retry_cycle"])
         self._ff_backoff = int(state["ff_backoff"])
+        self._queue_valid = False
 
     # ------------------------------------------------------------------
     # The per-cycle loop and the exact-mode fast path
@@ -396,12 +420,30 @@ class SynchronousEngine:
                         component))
 
     def _event_full_requery(self) -> None:
-        """Rebuild the queue from scratch (run entry; watcher stepped)."""
+        """Rebuild the queue from scratch (invalid queue; watcher stepped)."""
         self._heap.clear()
         self._sched.clear()
         self._pending_wakes.clear()
         now = self.cycle
         for component in self._components:
+            self._event_requery(component, now)
+        self._queue_valid = True
+
+    def _event_enter(self) -> None:
+        """Bring the persistent queue up to date at a run entry.
+
+        Between runs a local component changes only through a wake;
+        watchers may observe state mutated by any outside call (the
+        recovery controller arms retransmit timers from send hooks), so
+        they are requeried too.  An invalid queue is rebuilt instead.
+        """
+        if not self._queue_valid:
+            self._event_full_requery()
+            return
+        now = self.cycle
+        requery = self._pending_wakes | self._watchers
+        self._pending_wakes.clear()
+        for component in requery:
             self._event_requery(component, now)
 
     def _event_next_due(self) -> Optional[int]:
@@ -470,8 +512,10 @@ class SynchronousEngine:
                 run_indices.extend(indices)
         run_indices.sort()  # wiring order == registration order
         wiring = self._wiring
-        for index in run_indices:
-            wiring[index]()
+        # A transfer returning False delivered nothing: its sinks'
+        # readiness is unchanged, so they need no requery.
+        delivered = [index for index in run_indices
+                     if wiring[index]() is not False]
         self.cycle += 1
         self.cycles_stepped += 1
         # Requery everything this cycle could have affected.  A watcher
@@ -484,7 +528,7 @@ class SynchronousEngine:
         requery = set(stepped)
         for component in stepped:
             requery.update(self._peers.get(component, ()))
-        for index in run_indices:
+        for index in delivered:
             sinks = self._wiring_sinks[index]
             if sinks is None:
                 continue
@@ -515,7 +559,7 @@ class SynchronousEngine:
         return True
 
     def _event_run(self, target: int) -> None:
-        self._event_full_requery()
+        self._event_enter()
         while self.cycle < target:
             if self._event_advance(target):
                 continue
@@ -523,7 +567,7 @@ class SynchronousEngine:
 
     def _event_run_until(self, predicate: Callable[[], bool],
                          deadline: int, max_cycles: int) -> int:
-        self._event_full_requery()
+        self._event_enter()
         while True:
             if self.cycle >= deadline:
                 raise TimeoutError(

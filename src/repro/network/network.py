@@ -203,7 +203,9 @@ class MeshNetwork:
         monitor = self.link_monitors[link]
         miss_epoch = self.monitor_miss_epoch
 
-        def transfer() -> None:
+        def transfer() -> bool:
+            # False when nothing crossed: the event scheduler then skips
+            # the sink requery (see SynchronousEngine.add_wiring).
             signal = source.link_out[direction]
             if link in failed:
                 # Nothing crosses a dead link; account for what died.
@@ -222,7 +224,7 @@ class MeshNetwork:
                     # delivered here; it can never be resent, so spoof
                     # it back or the neighbour's credits leak forever.
                     drain_acks[served] = drain_acks.get(served, 0) + 1
-                return
+                return False
             phit = signal.phit
             if phit is not None:
                 # The line acknowledged a transfer (healthy link), so
@@ -243,6 +245,7 @@ class MeshNetwork:
                         monitor.bytes_corrupted += 1
                         phit = mangled
             sink.link_in[into] = LinkSignal(phit=phit, ack=signal.ack)
+            return phit is not None or signal.ack
 
         def idle_check() -> bool:
             # Fast-forward contract: with no phit and no ack offered,
@@ -864,6 +867,8 @@ class MeshNetwork:
     def attach_source(self, node: Node, source) -> None:
         """Attach a traffic source (see repro.traffic) to a host."""
         self.hosts[node].attach_source(source)
+        # The source may fire before anything else wakes the host.
+        self.engine.wake(self.hosts[node])
 
     def trace_service(self, node: Node, port: int) -> ServiceTrace:
         """Record cumulative per-connection service on one output port."""

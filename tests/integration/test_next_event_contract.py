@@ -14,30 +14,42 @@ The audit repeats in the two historically bug-prone situations —
 immediately after a ``load_state`` resume (memoised answers surviving
 the overlay) and after ``remove_component`` churn (answers cached
 against departed peers).
+
+The event scheduler keeps its queue across ``run`` / ``run_until``
+calls and only requeries woken components (and watchers) at entry.
+``TestPersistentQueue`` checks, at every run entry, that every entry it
+trusts equals a fresh ``next_event_cycle`` answer — the one thing a
+forgotten ``engine.wake`` on an outside mutation would break.
 """
 
 import json
 
 from repro import TrafficSpec
 from repro.checkpoint.codec import LoadContext, SaveContext
+from repro.checkpoint.sessions import ChaosSession
 from repro.core.ports import EAST, NORTH
 from repro.faults import FaultInjector, install_fault_tolerance
+from repro.faults.harness import ChaosConfig
 from repro.faults.plan import CUT, REPAIR, FaultEvent, FaultPlan
 from repro.network.network import MeshNetwork
+from repro.service import ServiceRunConfig, ServiceSession
 from repro.traffic.generators import (
     BurstySource,
     PeriodicSource,
     PoissonBestEffortSource,
 )
+from tests.integration.test_event_engine_equivalence import (
+    record_signature,
+)
 
 import random as random_module
 
 
-def _build():
+def _build(engine="exact"):
     """A loaded 4x4 mesh with every component kind registered: hosts,
     routers, watchdog, recovery controller, fault injector and the
     periodic snapshot emitter."""
-    net = MeshNetwork(4, 4)
+    net = MeshNetwork(4, 4, engine=engine)
     slot = net.params.slot_cycles
     c0 = net.establish_channel((0, 0), (3, 3), TrafficSpec(i_min=64),
                                deadline=24, label="contract-c0")
@@ -289,3 +301,151 @@ class TestPerImplementationAnswers:
         net.run(700)  # past the first cut: retransmit timers armed
         claim = controller.next_event_cycle(net.cycle)
         assert claim is None or claim >= net.cycle
+
+
+def _audit_queue(engine):
+    """Check the persistent event queue at every ``run`` / ``run_until``
+    entry: each entry the scheduler trusts must equal the component's
+    fresh ``next_event_cycle(now)`` clamped to ``now`` (``None`` when
+    unscheduled).  Components the entry requeries anyway (pending wakes
+    and watchers) are skipped, and so is an invalid queue, which the
+    entry rebuilds.  Returns the list of audited entry cycles."""
+    audited = []
+
+    def check():
+        if not engine._queue_valid:
+            return
+        now = engine.cycle
+        requeried = engine._pending_wakes | engine._watchers
+        for component in engine._components:
+            if component in requeried:
+                continue
+            probe = getattr(component, "next_event_cycle", None)
+            fresh = probe(now) if probe is not None else now
+            expected = None if fresh is None else max(fresh, now)
+            assert engine._sched.get(component) == expected, (
+                f"{type(component).__name__} queued at "
+                f"{engine._sched.get(component)} but due at {expected} "
+                f"(run entry at cycle {now})")
+        audited.append(now)
+
+    for name in ("run", "run_until"):
+        original = getattr(engine, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            check()
+            return _original(*args, **kwargs)
+
+        setattr(engine, name, wrapper)
+    return audited
+
+
+def _stir(net, channels, rng):
+    """Outside mutations between two runs: a TC message and a
+    best-effort packet, each of which must wake its component."""
+    source, destination = rng.sample(list(net.mesh.nodes()), 2)
+    net.send_best_effort(source, destination, b"\x5a" * 8)
+    net.send_message(rng.choice(channels), b"\xa5" * 4)
+
+
+class TestPersistentQueue:
+    def test_loaded_build_across_run_entries(self):
+        net, _, injector, channels = _build(engine="event")
+        audited = _audit_queue(net.engine)
+        rng = random_module.Random(17)
+        for _ in range(12):
+            net.run(150)
+            _stir(net, channels, rng)
+        net.engine.run_until(lambda: net.cycle >= 2_000, max_cycles=1_000)
+        assert len(audited) >= 6
+        assert [event.cycle for event in injector.fired] == [300, 900,
+                                                             1_700]
+
+    def test_service_run(self):
+        session = ServiceSession(ServiceRunConfig(requests=60,
+                                                  engine="event"))
+        audited = _audit_queue(session.network.engine)
+        session.run()
+        assert len(audited) > 100  # one entry per tick, plus the drain
+
+    def test_chaos_run_with_cuts(self):
+        session = ChaosSession(ChaosConfig(seed=1234, cycles=3_000,
+                                           settle_cycles=1_000,
+                                           engine="event"))
+        audited = _audit_queue(session.network.engine)
+        report = session.run()
+        assert len(audited) > 100
+        assert session.injector.fired
+        assert report.invariant_failures == []
+
+    def test_resume_from_mid_run_checkpoint(self):
+        net, _, _, _ = _build(engine="event")
+        net.run(1_500)
+        ctx = SaveContext()
+        state = json.loads(json.dumps(
+            {"network": net.state(ctx), "metas": ctx.metas_state()}))
+        resumed, _, _, channels = _build(engine="event")
+        resumed.load_state(state["network"], LoadContext(state["metas"]))
+        audited = _audit_queue(resumed.engine)
+        rng = random_module.Random(19)
+        for _ in range(8):
+            resumed.run(100)
+            _stir(resumed, channels, rng)
+        # The first entry rebuilt the restored queue; the rest trusted it.
+        assert audited and audited[0] > 1_500
+
+    def test_remove_then_add_component(self):
+        net, tolerance, _, channels = _build(engine="event")
+        audited = _audit_queue(net.engine)
+        rng = random_module.Random(23)
+        net.run(400)
+        net.disable_snapshots()
+        tolerance.detach()
+        for _ in range(4):
+            net.run(100)
+            _stir(net, channels, rng)
+        net.enable_snapshots(250)
+        for _ in range(4):
+            net.run(100)
+            _stir(net, channels, rng)
+        assert len(audited) >= 4
+
+    def test_sends_and_attach_between_runs(self):
+        # No watchers at all: nothing rebuilds the queue after the first
+        # entry, so every outside mutation must reach it through a wake.
+        net = MeshNetwork(4, 4, engine="event")
+        slot = net.params.slot_cycles
+        channel = net.establish_channel((0, 0), (3, 3),
+                                        TrafficSpec(i_min=64),
+                                        deadline=24, label="pq-c0")
+        audited = _audit_queue(net.engine)
+        net.run(200)
+        net.send_message(channel, b"\x01" * 4)
+        net.run(300)
+        net.send_best_effort((3, 0), (0, 3), b"\x02" * 8)
+        net.run(300)
+        net.attach_source((0, 0), PeriodicSource(channel, period=64,
+                                                 slot_cycles=slot))
+        net.run(2_000)
+        net.drain()
+        assert audited == [200, 500, 800, 2_800]
+        assert net.log.tc_delivered > 2
+
+
+class TestAttachSourceWakesHost:
+    def test_source_attached_between_runs_fires(self):
+        """A source attached after a run must fire in event mode exactly
+        as in exact mode (``attach_source`` wakes the host)."""
+        records = {}
+        for mode in ("exact", "event"):
+            net = MeshNetwork(4, 4, engine=mode)
+            channel = net.establish_channel((0, 0), (3, 3),
+                                            TrafficSpec(i_min=64),
+                                            deadline=24, label="late-src")
+            net.run(500)
+            net.attach_source((0, 0), PeriodicSource(
+                channel, period=64, slot_cycles=net.params.slot_cycles))
+            net.run(5_000)
+            records[mode] = record_signature(net)
+        assert records["exact"]
+        assert records["event"] == records["exact"]

@@ -260,3 +260,29 @@ class TestEventModeAccounting:
         assert whole.cycle == split.cycle
         _check(whole)
         _check(split)
+
+
+class TestPersistentEventQueue:
+    """The event queue survives ``run`` entries: a fresh service run
+    rebuilds it exactly once (its first entry) and still executes the
+    very cycles the rebuild-at-every-entry scheduler executed."""
+
+    def test_service_run_rebuilds_once(self):
+        from repro.service import ServiceRunConfig, ServiceSession
+
+        session = ServiceSession(ServiceRunConfig(requests=60,
+                                                  engine="event"))
+        engine = session.network.engine
+        rebuild = engine._event_full_requery
+        rebuilds = []
+
+        def counted():
+            rebuilds.append(engine.cycle)
+            rebuild()
+
+        engine._event_full_requery = counted
+        session.run()
+        _check(engine)
+        assert rebuilds == [0]
+        assert engine.cycles_stepped == 23_426
+        assert engine.cycles_fast_forwarded == 1_334

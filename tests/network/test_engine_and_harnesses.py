@@ -261,6 +261,36 @@ class TestFastForward:
         assert engine.cycles_fast_forwarded == 0
 
 
+class CountedAlarm(Alarm):
+    """An :class:`Alarm` that counts its ``next_event_cycle`` probes."""
+
+    def __init__(self, fire_cycles):
+        super().__init__(fire_cycles)
+        self.probes = 0
+
+    def next_event_cycle(self, cycle):
+        self.probes += 1
+        return super().next_event_cycle(cycle)
+
+
+class TestEventWiringSinks:
+    @pytest.mark.parametrize("result, sink_probes", [(None, 2), (False, 1)])
+    def test_sink_requery_follows_transfer_result(self, result,
+                                                  sink_probes):
+        # The first run entry probes both components once; after the
+        # source steps, its wiring's sink is probed again unless the
+        # transfer reported that it delivered nothing.
+        engine = SynchronousEngine(mode="event")
+        source, sink = CountedAlarm([0]), CountedAlarm([])
+        engine.add_component(source, local=True)
+        engine.add_component(sink, local=True)
+        engine.add_wiring(lambda: result, idle_check=lambda: True,
+                          source=source, sinks=[sink])
+        engine.run(1)
+        assert source.fired == [0]
+        assert sink.probes == sink_probes
+
+
 class TestLoopbackHarness:
     def test_rejects_header_only_packet(self):
         with pytest.raises(ValueError):
